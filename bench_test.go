@@ -265,12 +265,25 @@ type noopProbe struct{ events uint64 }
 
 func (p *noopProbe) OnEvent(Event) { p.events++ }
 
+// benchPayload is the structured content of the payload pulse input: a
+// non-nil Payload sends every delivery through the network's arena
+// instead of inline, the path authenticated (signature-carrying)
+// protocol messages take.
+var benchPayload any = "bench/payload"
+
+// benchPulseMsg is one round announcement: scalar-only (inline) when
+// payload is nil, an arena-backed payload envelope otherwise.
+func benchPulseMsg(round int, payload any) network.Message {
+	return network.Message{Kind: benchPulseKind, Round: round, Payload: payload}
+}
+
 // benchPulseNet builds the n-node broadcast fixture with a few warm
 // rounds so the event buckets and delivery pools are at steady-state
 // size: the ladder queue re-anchors its bucket grid on every round, so
 // per-bucket occupancy (and with it the retained capacity) needs several
-// rounds to reach its high-water mark.
-func benchPulseNet(n int, probed bool) (*sim.Engine, *network.Net, *noopProbe) {
+// rounds to reach its high-water mark. payload selects the envelope
+// shape (see benchPulseMsg).
+func benchPulseNet(n int, probed bool, payload any) (*sim.Engine, *network.Net, *noopProbe) {
 	e := sim.New(1)
 	nt := network.New(e, n, network.Uniform{Min: 0.002, Max: 0.01}, nil)
 	for i := 0; i < n; i++ {
@@ -286,13 +299,13 @@ func benchPulseNet(n int, probed bool) (*sim.Engine, *network.Net, *noopProbe) {
 	// occupancy — random per-round occupancy drift can then never cross a
 	// growth threshold mid-measurement.
 	for from := 0; from < n; from++ {
-		nt.Broadcast(from, network.Message{Kind: benchPulseKind, Round: 0})
-		nt.Broadcast(from, network.Message{Kind: benchPulseKind, Round: 0})
+		nt.Broadcast(from, benchPulseMsg(0, payload))
+		nt.Broadcast(from, benchPulseMsg(0, payload))
 	}
 	e.RunAll(0)
 	for round := 0; round < 3; round++ {
 		for from := 0; from < n; from++ {
-			nt.Broadcast(from, network.Message{Kind: benchPulseKind, Round: 0})
+			nt.Broadcast(from, benchPulseMsg(0, payload))
 		}
 		e.RunAll(0)
 	}
@@ -309,7 +322,7 @@ func benchPulseNet(n int, probed bool) (*sim.Engine, *network.Net, *noopProbe) {
 // must stay at 0 allocs/op too (BENCH_PR4.json records probe-off vs
 // probe-on, CI enforces both).
 func benchmarkPulseRound(b *testing.B, n int, probed bool) {
-	e, nt, _ := benchPulseNet(n, probed)
+	e, nt, _ := benchPulseNet(n, probed, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -335,23 +348,26 @@ func BenchmarkPulseRound(b *testing.B) {
 
 // TestPulseRoundZeroAllocsWithNoopProbe is the tier-1 (non-bench) guard
 // on the probed hot path: a full n=32 pulse round with a no-op probe
-// subscribed to every message event type must not allocate.
+// subscribed to every message event type must not allocate, for inline
+// envelopes and for payload envelopes (the arena path) alike.
 func TestPulseRoundZeroAllocsWithNoopProbe(t *testing.T) {
 	const n = 32
-	e, nt, p := benchPulseNet(n, true)
-	round := 0
-	allocs := testing.AllocsPerRun(20, func() {
-		round++
-		for from := 0; from < n; from++ {
-			nt.Broadcast(from, network.Message{Kind: benchPulseKind, Round: round})
+	for _, payload := range []any{nil, benchPayload} {
+		e, nt, p := benchPulseNet(n, true, payload)
+		round := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			round++
+			for from := 0; from < n; from++ {
+				nt.Broadcast(from, benchPulseMsg(round, payload))
+			}
+			e.RunAll(0)
+		})
+		if allocs != 0 {
+			t.Fatalf("probed pulse round (payload %v) allocates %v per round", payload, allocs)
 		}
-		e.RunAll(0)
-	})
-	if allocs != 0 {
-		t.Fatalf("probed pulse round allocates %v per round", allocs)
-	}
-	if p.events == 0 {
-		t.Fatal("probe saw no events")
+		if p.events == 0 {
+			t.Fatal("probe saw no events")
+		}
 	}
 }
 
@@ -363,13 +379,14 @@ func TestPulseRoundZeroAllocsWithNoopProbe(t *testing.T) {
 // the fan-out consume the sender's own lane sequence, exactly as node
 // code does.
 type benchShardKick struct {
-	eng *sim.Engine
-	nt  *network.Net
+	eng     *sim.Engine
+	nt      *network.Net
+	payload any
 }
 
 func (k *benchShardKick) Dispatch(_ sim.Time, m sim.Message) {
 	k.eng.SetExecLane(m.From)
-	k.nt.Broadcast(int(m.From), network.Message{Kind: benchPulseKind, Round: int(m.Round)})
+	k.nt.Broadcast(int(m.From), benchPulseMsg(int(m.Round), k.payload))
 }
 
 // shardedPulseFixture is benchPulseNet for the conservative parallel
@@ -385,7 +402,7 @@ type shardedPulseFixture struct {
 	round int
 }
 
-func benchPulseNetSharded(n, k int) *shardedPulseFixture {
+func benchPulseNetSharded(n, k int, payload any) *shardedPulseFixture {
 	coord := sim.NewShards(1, k, 0.002)
 	owner := make([]int32, n)
 	for i := range owner {
@@ -401,7 +418,7 @@ func benchPulseNetSharded(n, k int) *shardedPulseFixture {
 	for i := 0; i < k; i++ {
 		eng := coord.Shard(i)
 		f.engs = append(f.engs, eng)
-		f.tgt = append(f.tgt, eng.RegisterDispatcher(&benchShardKick{eng: eng, nt: nets[i]}))
+		f.tgt = append(f.tgt, eng.RegisterDispatcher(&benchShardKick{eng: eng, nt: nets[i], payload: payload}))
 	}
 	// Same warm-up shape as benchPulseNet: one double-fan round, then a
 	// few steady rounds, so buckets, mailboxes, and merge scratch reach
@@ -443,7 +460,7 @@ func BenchmarkPulseRoundSharded(b *testing.B) {
 	for _, n := range []int{512, 2048} {
 		for _, k := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("n=%d/shards=%d", n, k), func(b *testing.B) {
-				f := benchPulseNetSharded(n, k)
+				f := benchPulseNetSharded(n, k, nil)
 				b.Cleanup(f.coord.Close)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -457,14 +474,21 @@ func BenchmarkPulseRoundSharded(b *testing.B) {
 }
 
 // TestShardedPulseRoundZeroAllocs is the tier-1 guard on the sharded hot
-// path: a full pulse round across 4 shards — kicks, fan-out, cross-shard
-// exchange, barriers — must not allocate once warm.
+// path: a full pulse round — kicks, fan-out, cross-shard exchange,
+// barriers — must not allocate once warm: inline envelopes across 4
+// shards, and payload envelopes (arena slots re-interned on the
+// receiving shard) across 2.
 func TestShardedPulseRoundZeroAllocs(t *testing.T) {
-	f := benchPulseNetSharded(32, 4)
-	defer f.coord.Close()
-	allocs := testing.AllocsPerRun(20, func() { f.kickRound(1) })
-	if allocs != 0 {
-		t.Fatalf("sharded pulse round allocates %v per round", allocs)
+	for _, c := range []struct {
+		shards  int
+		payload any
+	}{{4, nil}, {2, benchPayload}} {
+		f := benchPulseNetSharded(32, c.shards, c.payload)
+		allocs := testing.AllocsPerRun(20, func() { f.kickRound(1) })
+		f.coord.Close()
+		if allocs != 0 {
+			t.Fatalf("sharded pulse round (shards %d, payload %v) allocates %v per round", c.shards, c.payload, allocs)
+		}
 	}
 }
 

@@ -10,6 +10,16 @@ import (
 	"optsync/internal/campaign"
 )
 
+// Connection time bounds of the coordinator's HTTP server. Worker RPCs
+// are small and prompt, so a client that dribbles its header
+// (slowloris), stalls mid-body, or parks an idle keep-alive connection
+// is cut off instead of holding a server goroutine forever.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
 // ServeOptions configures one Serve lifetime around the coordinator's
 // ServerOptions.
 type ServeOptions struct {
@@ -63,7 +73,12 @@ func Serve(ctx context.Context, c campaign.Campaign, store *campaign.Store, opts
 	if opts.Ready != nil {
 		opts.Ready(ln.Addr().String())
 	}
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -188,5 +191,65 @@ func TestWorkerReportGraceFlushesFinishedBatch(t *testing.T) {
 	}
 	if done := srv.table.doneCount(); done != 3 {
 		t.Fatalf("coordinator settled %d cells, want 3 — the finished batch was lost", done)
+	}
+}
+
+// fillReader is an endless stream of one byte value.
+type fillReader byte
+
+func (f fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestOversizedReportRejected: a /report body one byte over
+// maxBodyBytes is refused with 413 Request Entity Too Large, not
+// buffered without bound and not misfiled as a malformed (400) body.
+func TestOversizedReportRejected(t *testing.T) {
+	srv, err := NewServer(testCampaign(), quietStore(t, t.TempDir()+"/store"), ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := io.MultiReader(strings.NewReader(`{"worker":"`), io.LimitReader(fillReader('a'), maxBodyBytes))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/report", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized report: status %d, want %d (%s)", rec.Code, http.StatusRequestEntityTooLarge, rec.Body)
+	}
+	if done := srv.table.doneCount(); done != 0 {
+		t.Fatalf("oversized report settled %d cells", done)
+	}
+}
+
+// TestServeDropsStalledHeader: a client that sends half a request
+// header and then goes silent is disconnected by the coordinator once
+// the header timeout passes, instead of pinning a connection forever.
+func TestServeDropsStalledHeader(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	url, out := startServe(t, ctx, quietStore(t, t.TempDir()+"/store"), ServeOptions{})
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /report HTTP/1.1\r\nHost: coordinator\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("stalled connection still open past the header timeout: %v", err)
+	}
+	if held := time.Since(start); held < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout", held, readHeaderTimeout)
+	}
+	cancel()
+	if res := <-out; !errors.Is(res.err, context.Canceled) {
+		t.Fatalf("Serve = %v, want context.Canceled", res.err)
 	}
 }

@@ -200,18 +200,38 @@ var ioBufPool = sync.Pool{New: func() any {
 	return b
 }}
 
-// readJSON slurps one request body through a pooled buffer and decodes
-// it. Decoding from a contiguous buffer also means a malformed body is
-// rejected without partially consuming the connection.
-func readJSON(r *http.Request, v any) error {
+// maxBodyBytes caps one request body. The largest body a worker sends
+// is a /report for a full lease batch; one cell's report (its
+// series-free Result plus spec) encodes to ~1.3 KB, so the default
+// 64-cell batch is ~85 KB and the cap still admits batches of 20k+
+// cells, while a runaway or hostile client cannot make the coordinator
+// buffer an unbounded body.
+const maxBodyBytes = 32 << 20
+
+// readJSON slurps one request body (at most maxBodyBytes) through a
+// pooled buffer and decodes it. Decoding from a contiguous buffer also
+// means a malformed body is rejected without partially consuming the
+// connection. An oversized body fails with *http.MaxBytesError (see
+// bodyStatus).
+func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	b := ioBufPool.Get().(*ioBuf)
 	b.buf.Reset()
-	_, err := b.buf.ReadFrom(r.Body)
+	_, err := b.buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
 		err = json.Unmarshal(b.buf.Bytes(), v)
 	}
 	ioBufPool.Put(b)
 	return err
+}
+
+// bodyStatus is the HTTP status for a readJSON failure: 413 for a body
+// over maxBodyBytes, 400 for anything else.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -239,8 +259,8 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	if err := readJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "lease: %v", err)
+	if err := readJSON(w, r, &req); err != nil {
+		writeErr(w, bodyStatus(err), "lease: %v", err)
 		return
 	}
 	max := req.Max
@@ -297,8 +317,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	req.Cells = cells[:0]
 	req.Worker = ""
 	defer reportReqPool.Put(req)
-	if err := readJSON(r, req); err != nil {
-		writeErr(w, http.StatusBadRequest, "report: %v", err)
+	if err := readJSON(w, r, req); err != nil {
+		writeErr(w, bodyStatus(err), "report: %v", err)
 		return
 	}
 	var resp ReportResponse

@@ -55,7 +55,7 @@ func runProbeGuard(p *Pass) []Finding {
 // enclosing if statement (entered through its then-branch) whose
 // condition either calls Active/AnyActive directly or tests a boolean
 // local that was assigned from such a call in the same function — the
-// hoisted-guard pattern used by batched delivery loops.
+// hoisted-guard pattern of per-item loops.
 func (p *Pass) emitGuarded(call *ast.CallExpr) bool {
 	fd := p.enclosingFunc(call)
 	var prev ast.Node = call

@@ -18,8 +18,8 @@ func TestArenaReleasesBurstMemory(t *testing.T) {
 	for i := 0; i < n; i++ {
 		nt.Register(i, func(NodeID, Message) {})
 	}
-	// Raw payloads force the arena path; uniform delays make almost every
-	// recipient a distinct batch, so one all-pairs round needs ~n^2 slots.
+	// Raw payloads force the arena path, one slot per recipient, so one
+	// all-pairs round holds n^2 slots at its peak.
 	for from := 0; from < n; from++ {
 		nt.Broadcast(from, Raw("burst"))
 	}

@@ -43,36 +43,45 @@ func TestBroadcastReachesAllIncludingSelf(t *testing.T) {
 	}
 }
 
-// A fixed-delay broadcast shares one delivery instant, so it must ride a
-// single batched event rather than n heap entries.
-func TestBroadcastBatchesSharedDeliveryTimes(t *testing.T) {
-	e := sim.New(1)
-	nt := New(e, 8, Fixed{D: 0.1}, nil)
-	order := make([]NodeID, 0, 8)
+// Recipients sharing a delivery instant are delivered in ascending
+// recipient order, both when the whole broadcast shares one instant
+// (Fixed) and within each instant of a two-instant broadcast (Spread).
+func TestBroadcastSharedInstantRecipientOrder(t *testing.T) {
+	type delivery struct {
+		at sim.Time
+		to NodeID
+	}
+	run := func(policy Policy) []delivery {
+		e := sim.New(1)
+		nt := New(e, 8, policy, nil)
+		var got []delivery
+		for i := 0; i < 8; i++ {
+			i := i
+			nt.Register(i, func(NodeID, Message) { got = append(got, delivery{e.Now(), i}) })
+		}
+		nt.Broadcast(3, Raw("m"))
+		e.RunAll(0)
+		return got
+	}
+	var want []delivery
 	for i := 0; i < 8; i++ {
-		i := i
-		nt.Register(i, func(NodeID, Message) { order = append(order, i) })
+		want = append(want, delivery{0.1, i})
 	}
-	nt.Broadcast(3, Raw("m"))
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("fixed-delay broadcast queued %d events, want 1 batch", got)
+	if got := run(Fixed{D: 0.1}); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fixed-delay deliveries %v, want %v", got, want)
 	}
-	e.RunAll(0)
-	for i, id := range order {
-		if id != i {
-			t.Fatalf("delivery order %v, want ascending ids", order)
+	want = want[:0]
+	for _, at := range []sim.Time{0.1, 0.9} {
+		for i := 0; i < 8; i++ {
+			if (at == 0.9) == (i == 1 || i == 5) {
+				want = append(want, delivery{at, i})
+			}
 		}
 	}
-	// Distinct delivery times (Spread: two buckets) stay distinct events.
-	nt2 := New(e, 8, Spread{Min: 0.1, Max: 0.9, Slow: map[NodeID]bool{1: true, 5: true}}, nil)
-	for i := 0; i < 8; i++ {
-		nt2.Register(i, func(NodeID, Message) {})
+	spread := Spread{Min: 0.1, Max: 0.9, Slow: map[NodeID]bool{1: true, 5: true}}
+	if got := run(spread); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("two-instant deliveries %v, want %v", got, want)
 	}
-	nt2.Broadcast(0, Raw("m"))
-	if got := e.Pending(); got != 2 {
-		t.Fatalf("two-bucket broadcast queued %d events, want 2", got)
-	}
-	e.RunAll(0)
 }
 
 // A probe that injects traffic by calling Broadcast reentrantly from

@@ -6,9 +6,9 @@ import "slices"
 // ladder/calendar queue of value-inline events.
 //
 // Motivation: the simulator's O(n^2)-per-round hot path schedules and
-// drains one event per message (or per delivery batch). On a binary heap
-// of *Event pointers every message pays two O(log k) pointer-chasing
-// reorganizations (push + pop), and the heap itself is a large
+// drains one event per message. On a binary heap of *Event pointers
+// every message pays two O(log k) pointer-chasing reorganizations
+// (push + pop), and the heap itself is a large
 // pointer-dense allocation the garbage collector must trace. The ladder
 // replaces both costs for message events: scheduling is an append into a
 // time-indexed bucket of plain values (no pointers anywhere), and

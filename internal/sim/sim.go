@@ -40,8 +40,8 @@ type Time = float64
 // payload inline and the event never touches an arena at all. Either
 // way the steady-state message path stays allocation-free.
 type Message struct {
-	// From and To are endpoint hints (dispatcher-defined; To < 0 for
-	// batched deliveries that fan out inside the dispatcher).
+	// From and To are dispatcher-defined endpoint ids (the network's
+	// sender and its one recipient).
 	From, To int32
 	// Kind is a dispatcher-defined discriminator.
 	Kind uint16
@@ -230,11 +230,11 @@ func (e *Engine) ScheduleMsg(k Key, target int, m Message) {
 // (LaneGlobal outside event execution).
 func (e *Engine) ExecLane() int32 { return e.curLane }
 
-// SetExecLane rebinds the current scheduling lane mid-event. It exists
-// for batch dispatchers: one message event may fan out to several
-// recipients, and each recipient's handler must schedule on its own lane
+// SetExecLane rebinds the current scheduling lane mid-event. Dispatchers
+// need it because a message event is keyed on its sender's lane but runs
+// recipient code: the recipient's handler must schedule on its own lane
 // (the recipient's timers and relays belong to the recipient, not to the
-// batch's sender). The engine restores LaneGlobal after the event.
+// message's sender). The engine restores LaneGlobal after the event.
 func (e *Engine) SetExecLane(lane int32) { e.curLane = lane }
 
 // ExecTag returns the key of the event currently executing plus the next

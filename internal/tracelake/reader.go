@@ -119,12 +119,14 @@ func OpenReader(r io.ReaderAt, size int64) (*Lake, error) {
 		return nil, fmt.Errorf("tracelake: bad end magic %q at offset %d (want %q): container truncated or not finalized",
 			trailer[8:], size-8, endMagic[:])
 	}
+	// Compare lengths unsigned before any signed arithmetic: a forged
+	// footer length near 2^64 must not wrap the offset back into range.
 	footerLen := binary.LittleEndian.Uint64(trailer[:8])
-	footerOff := size - trailerSize - int64(footerLen)
-	if footerLen < 4+16 || footerOff < int64(len(Magic)) {
+	if footerLen < 4+16 || footerLen > uint64(size-trailerSize-int64(len(Magic))) {
 		return nil, fmt.Errorf("tracelake: trailer at offset %d claims footer length %d, impossible for a %d-byte file",
 			size-trailerSize, footerLen, size)
 	}
+	footerOff := size - trailerSize - int64(footerLen)
 
 	footer := make([]byte, footerLen)
 	if _, err := io.ReadFull(io.NewSectionReader(r, footerOff, int64(footerLen)), footer); err != nil {
@@ -138,7 +140,8 @@ func OpenReader(r io.ReaderAt, size int64) (*Lake, error) {
 	body := footer[4:]
 	nBlocks := binary.LittleEndian.Uint64(body[:8])
 	total := binary.LittleEndian.Uint64(body[8:16])
-	if uint64(len(body)-16) != nBlocks*metaEncSize {
+	// Divide rather than multiply: a forged count could wrap the product.
+	if entries := uint64(len(body) - 16); entries%metaEncSize != 0 || nBlocks != entries/metaEncSize {
 		return nil, fmt.Errorf("tracelake: footer at offset %d indexes %d blocks but carries %d bytes of entries (want %d)",
 			footerOff, nBlocks, len(body)-16, nBlocks*metaEncSize)
 	}
@@ -155,7 +158,8 @@ func OpenReader(r io.ReaderAt, size int64) (*Lake, error) {
 			return nil, fmt.Errorf("tracelake: footer entry %d (block at offset %d) has implausible row count %d",
 				i, m.offset, m.count)
 		}
-		if m.offset < uint64(len(Magic)) || m.offset+m.length > uint64(footerOff) || m.length < blockHeaderSize {
+		if m.offset < uint64(len(Magic)) || m.length < blockHeaderSize ||
+			m.length > uint64(footerOff) || m.offset > uint64(footerOff)-m.length {
 			return nil, fmt.Errorf("tracelake: footer entry %d places block at [%d, %d), outside the data region [%d, %d)",
 				i, m.offset, m.offset+m.length, len(Magic), footerOff)
 		}
