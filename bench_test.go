@@ -19,6 +19,7 @@ import (
 	"optsync/internal/core/bounds"
 	"optsync/internal/network"
 	"optsync/internal/node"
+	"optsync/internal/race"
 	"optsync/internal/sig"
 	"optsync/internal/sim"
 )
@@ -496,6 +497,7 @@ func TestShardedPulseRoundZeroAllocs(t *testing.T) {
 func BenchmarkSignHMAC(b *testing.B) {
 	s := sig.NewHMAC(4, 1)
 	payload := []byte("optsync/st/round/0000000000000001")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Sign(i%4, payload)
@@ -515,6 +517,7 @@ func BenchmarkVerifyHMAC(b *testing.B) {
 	s := sig.NewHMAC(4, 1)
 	payload := []byte("optsync/st/round/0000000000000001")
 	sg := s.Sign(0, payload)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !s.Verify(0, payload, sg) {
@@ -535,21 +538,52 @@ func BenchmarkVerifyEd25519(b *testing.B) {
 	}
 }
 
+// protocolRoundSpec is an authenticated n=25 run of about rounds
+// resynchronization rounds (Period 1 s).
+func protocolRoundSpec(rounds int) Spec {
+	p := benchParams(25, bounds.Auth)
+	return Spec{
+		Algo: AlgoAuth, Params: p,
+		FaultyCount: p.F, Attack: AttackSilent,
+		Horizon: float64(rounds) + 2, Seed: 1,
+	}
+}
+
 // BenchmarkProtocolRound measures end-to-end cost of one simulated
 // resynchronization round (n=25, authenticated).
 func BenchmarkProtocolRound(b *testing.B) {
-	p := benchParams(25, bounds.Auth)
-	spec := Spec{
-		Algo: AlgoAuth, Params: p,
-		FaultyCount: p.F, Attack: AttackSilent,
-		Horizon: float64(b.N) + 2, Seed: 1,
-	}
+	spec := protocolRoundSpec(b.N)
 	b.ResetTimer()
 	res := mustRun(b, spec)
 	if res.CompleteRounds == 0 {
 		b.Fatal("no rounds")
 	}
 	b.ReportMetric(float64(res.TotalMsgs)/float64(b.N), "msgs/round")
+}
+
+// protocolRoundAllocCeiling caps TestProtocolRoundAllocs: 233.4
+// allocations per round measured with Go 1.24, plus 10%.
+const protocolRoundAllocCeiling = 257
+
+// TestProtocolRoundAllocs is the tier-1 guard on the real protocol
+// round: BenchmarkProtocolRound's workload over 200 rounds, set-up
+// included, must stay under protocolRoundAllocCeiling allocations per
+// round.
+func TestProtocolRoundAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items under -race, so pooled scratch reallocates")
+	}
+	const rounds = 200
+	spec := protocolRoundSpec(rounds)
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Run(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}) / rounds
+	t.Logf("%.1f allocs/round", allocs)
+	if allocs > protocolRoundAllocCeiling {
+		t.Fatalf("protocol round allocates %.1f per round, ceiling %d", allocs, protocolRoundAllocCeiling)
+	}
 }
 
 // --- Batch throughput ---

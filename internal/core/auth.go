@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"optsync/internal/network"
 	"optsync/internal/node"
@@ -58,6 +59,11 @@ type AuthProtocol struct {
 	lastSigned   int
 	evidence     map[int]map[node.ID]sig.Signature
 	timer        node.Timer
+
+	// payload is roundPayload(payloadRound), kept across deliveries so
+	// that only a change of round builds a new one.
+	payloadRound int
+	payload      []byte
 
 	// Cold-start state (Config.ColdStart).
 	awake        map[node.ID]sig.Signature
@@ -124,10 +130,10 @@ func (p *AuthProtocol) Deliver(env node.Env, _ node.ID, msg node.Message) {
 	if round <= p.lastAccepted || round > p.lastAccepted+p.cfg.MaxRoundAhead {
 		return
 	}
-	payload := roundPayload(round)
+	payload := p.payloadFor(round)
 	set := p.evidence[round]
 	if set == nil {
-		set = make(map[node.ID]sig.Signature)
+		set = make(map[node.ID]sig.Signature, env.F()+1)
 		p.evidence[round] = set
 	}
 	for _, e := range sigs {
@@ -140,6 +146,15 @@ func (p *AuthProtocol) Deliver(env node.Env, _ node.ID, msg node.Message) {
 		set[e.Signer] = e.Sig
 	}
 	p.maybeAccept(env, round)
+}
+
+// payloadFor returns roundPayload(k), rebuilding it only when k differs
+// from the last round asked for. The returned slice is never written.
+func (p *AuthProtocol) payloadFor(k int) []byte {
+	if p.payload == nil || p.payloadRound != k {
+		p.payload, p.payloadRound = roundPayload(k), k
+	}
+	return p.payload
 }
 
 // armTimer schedules the next "sign round k" action at C = k*P for the
@@ -165,10 +180,10 @@ func (p *AuthProtocol) signAndBroadcast(env node.Env, k int) {
 	p.lastSigned = k
 	set := p.evidence[k]
 	if set == nil {
-		set = make(map[node.ID]sig.Signature)
+		set = make(map[node.ID]sig.Signature, env.F()+1)
 		p.evidence[k] = set
 	}
-	set[env.ID()] = env.Sign(roundPayload(k))
+	set[env.ID()] = env.Sign(p.payloadFor(k))
 	env.Broadcast(RoundMessage(k, entries(set)))
 	// Own signature may complete the quorum (e.g. f=0, or evidence
 	// arrived before our clock was due).
@@ -255,6 +270,6 @@ func entries(set map[node.ID]sig.Signature) []SignedEntry {
 	for id, s := range set {
 		out = append(out, SignedEntry{Signer: id, Sig: s})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Signer < out[j].Signer })
+	slices.SortFunc(out, func(a, b SignedEntry) int { return cmp.Compare(a.Signer, b.Signer) })
 	return out
 }

@@ -10,8 +10,15 @@
 //   - HMAC: a fast symmetric stand-in where the scheme itself acts as a
 //     trusted verification oracle. Within the simulation, Byzantine code can
 //     only interact through Sign/Verify, so the unforgeability axiom holds
-//     by construction; this trades the cryptographic guarantee for ~50x
-//     faster simulation, which matters for large parameter sweeps.
+//     by construction; this trades the cryptographic guarantee for speed,
+//     which matters for large parameter sweeps. Its output is standard
+//     HMAC-SHA256 (RFC 2104). The key pads are hashed once per signer at
+//     construction and their SHA-256 midstates kept, so a call hashes only
+//     the message and the inner digest, and Verify allocates nothing. On a
+//     2-vCPU Intel Xeon (Go 1.24) HMAC Verify takes ~0.3 us and Sign
+//     ~0.36 us, against ~90-110 us and ~40-50 us for Ed25519
+//     (BenchmarkVerifyHMAC, BenchmarkVerifyEd25519 and the Sign pair in
+//     the root package).
 //
 // Signer identities are small integers (node indices). Keys are derived
 // deterministically from a seed so that simulations are reproducible.
@@ -21,8 +28,11 @@ import (
 	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"fmt"
+	"hash"
+	"sync"
 )
 
 // Signature is an opaque signature blob.
@@ -96,83 +106,115 @@ func (s *Ed25519) check(signer int) {
 	}
 }
 
-// HMAC is a fast symmetric scheme: Sign(i, m) = HMAC-SHA256(key_i, m).
+// HMAC is a fast symmetric scheme: Sign(i, m) = HMAC-SHA256(key_i, m),
+// byte for byte the RFC 2104 construction crypto/hmac computes.
 // Because verification recomputes with key_i held by the scheme, the scheme
 // is a trusted oracle; within the simulation the unforgeability axiom holds
 // because all parties (including Byzantine protocol code) interact only
 // through this API.
+//
+// HMAC(K, m) = H((K^opad) || H((K^ipad) || m)), and the two pad blocks
+// depend only on the key. NewHMAC therefore hashes each signer's ipad and
+// opad block once and keeps the two SHA-256 midstates; Sign and Verify
+// restore them into pooled scratch and hash only the message and the inner
+// digest. An HMAC is safe for concurrent use.
 type HMAC struct {
-	keys [][]byte
+	inner, outer [][]byte // per-signer marshaled SHA-256 state after K^ipad / K^opad
 }
 
 var _ Scheme = (*HMAC)(nil)
 
-// NewHMAC derives n keys from seed.
+// NewHMAC derives n keys from seed and precomputes their pad midstates.
 func NewHMAC(n int, seed int64) *HMAC {
-	s := &HMAC{keys: make([][]byte, n)}
+	s := &HMAC{inner: make([][]byte, n), outer: make([][]byte, n)}
+	h := sha256.New()
 	for i := 0; i < n; i++ {
-		k := deriveSeed(seed, i)
-		s.keys[i] = k[:]
+		k := deriveSeed(seed, i) // shorter than a block: used as-is, zero-padded
+		s.inner[i] = padState(h, k[:], 0x36)
+		s.outer[i] = padState(h, k[:], 0x5c)
 	}
 	return s
 }
 
-// Sign implements Scheme.
-func (s *HMAC) Sign(signer int, payload []byte) Signature {
-	if signer < 0 || signer >= len(s.keys) {
-		panic(fmt.Sprintf("sig: signer %d out of range [0,%d)", signer, len(s.keys)))
+// padState returns the marshaled state of h after absorbing the one-block
+// key pad (key zero-extended to the block size, each byte XORed with pad).
+func padState(h hash.Hash, key []byte, pad byte) []byte {
+	var block [sha256.BlockSize]byte
+	for i := range block {
+		block[i] = pad
 	}
-	mac := hmac.New(sha256.New, s.keys[signer])
-	mac.Write(payload)
-	return mac.Sum(nil)
+	for i, b := range key {
+		block[i] ^= b
+	}
+	h.Reset()
+	h.Write(block[:])
+	st, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(err) // crypto/sha256 always marshals
+	}
+	return st
 }
 
-// Verify implements Scheme.
+// macState is a SHA-256 digest whose state can be restored from a
+// midstate.
+type macState interface {
+	hash.Hash
+	encoding.BinaryUnmarshaler
+}
+
+// macScratch is one Sign or Verify call's working space: a digest to
+// restore midstates into and the inner and outer sums.
+type macScratch struct {
+	h   macState
+	sum [2][sha256.Size]byte
+}
+
+// macPool lends scratch to concurrent callers (engine shards, rt
+// goroutines); scratch carries no key material between uses.
+var macPool = sync.Pool{New: func() any {
+	return &macScratch{h: sha256.New().(macState)}
+}}
+
+// mac computes signer's HMAC over payload into sc and returns a view of
+// sc's outer sum, valid until sc is reused.
+//
+//syncsim:hotpath
+func (s *HMAC) mac(sc *macScratch, signer int, payload []byte) []byte {
+	restore(sc.h, s.inner[signer])
+	sc.h.Write(payload)
+	inner := sc.h.Sum(sc.sum[0][:0])
+	restore(sc.h, s.outer[signer])
+	sc.h.Write(inner)
+	return sc.h.Sum(sc.sum[1][:0])
+}
+
+func restore(h macState, state []byte) {
+	if err := h.UnmarshalBinary(state); err != nil {
+		panic(err) // states come from padState, never malformed
+	}
+}
+
+// Sign implements Scheme. The returned Signature is its only allocation.
+func (s *HMAC) Sign(signer int, payload []byte) Signature {
+	if signer < 0 || signer >= len(s.inner) {
+		panic(fmt.Sprintf("sig: signer %d out of range [0,%d)", signer, len(s.inner)))
+	}
+	sc := macPool.Get().(*macScratch)
+	out := append(Signature(nil), s.mac(sc, signer, payload)...)
+	macPool.Put(sc)
+	return out
+}
+
+// Verify implements Scheme without allocating.
 func (s *HMAC) Verify(signer int, payload []byte, sg Signature) bool {
-	if signer < 0 || signer >= len(s.keys) {
+	if signer < 0 || signer >= len(s.inner) || len(sg) != sha256.Size {
 		return false
 	}
-	mac := hmac.New(sha256.New, s.keys[signer])
-	mac.Write(payload)
-	return hmac.Equal(mac.Sum(nil), []byte(sg))
-}
-
-// Name implements Scheme.
-func (s *HMAC) Name() string { return "hmac-sha256" }
-
-// Counting wraps a Scheme and counts operations; used to report the
-// cryptographic cost of a protocol run.
-type Counting struct {
-	Inner Scheme
-
-	signs, verifies, rejects uint64
-}
-
-var _ Scheme = (*Counting)(nil)
-
-// NewCounting wraps inner.
-func NewCounting(inner Scheme) *Counting { return &Counting{Inner: inner} }
-
-// Sign implements Scheme.
-func (c *Counting) Sign(signer int, payload []byte) Signature {
-	c.signs++
-	return c.Inner.Sign(signer, payload)
-}
-
-// Verify implements Scheme.
-func (c *Counting) Verify(signer int, payload []byte, s Signature) bool {
-	c.verifies++
-	ok := c.Inner.Verify(signer, payload, s)
-	if !ok {
-		c.rejects++
-	}
+	sc := macPool.Get().(*macScratch)
+	ok := hmac.Equal(s.mac(sc, signer, payload), sg)
+	macPool.Put(sc)
 	return ok
 }
 
 // Name implements Scheme.
-func (c *Counting) Name() string { return c.Inner.Name() + "+counting" }
-
-// Stats returns (signs, verifies, failed verifies).
-func (c *Counting) Stats() (signs, verifies, rejects uint64) {
-	return c.signs, c.verifies, c.rejects
-}
+func (s *HMAC) Name() string { return "hmac-sha256" }

@@ -2,9 +2,14 @@ package sig
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"optsync/internal/race"
 )
 
 func schemes(n int, seed int64) map[string]Scheme {
@@ -124,23 +129,6 @@ func TestCrossSchemeRejection(t *testing.T) {
 	}
 }
 
-func TestCountingScheme(t *testing.T) {
-	c := NewCounting(NewHMAC(2, 1))
-	msg := []byte("m")
-	sg := c.Sign(0, msg)
-	if !c.Verify(0, msg, sg) {
-		t.Fatal("valid signature rejected")
-	}
-	c.Verify(1, msg, sg) // wrong signer: rejected
-	signs, verifies, rejects := c.Stats()
-	if signs != 1 || verifies != 2 || rejects != 1 {
-		t.Fatalf("stats = (%d, %d, %d), want (1, 2, 1)", signs, verifies, rejects)
-	}
-	if c.Name() != "hmac-sha256+counting" {
-		t.Fatalf("Name = %q", c.Name())
-	}
-}
-
 // Property: no signer's signature over one payload verifies for any other
 // (signer, payload) pair.
 func TestNoCrossVerifyProperty(t *testing.T) {
@@ -156,5 +144,91 @@ func TestNoCrossVerifyProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(29))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// HMAC's precomputed midstates must reproduce crypto/hmac byte for byte
+// for every signer, across the SHA-256 padding boundaries (55/56 bytes
+// left in the final block, whole blocks at 64 and 120).
+func TestHMACMatchesCryptoHMAC(t *testing.T) {
+	const n = 8
+	lengths := []int{0, 1, 25, 55, 56, 63, 64, 65, 119, 120, 200}
+	for _, seed := range []int64{1, 99} {
+		s := NewHMAC(n, seed)
+		for _, l := range lengths {
+			payload := make([]byte, l)
+			for i := range payload {
+				payload[i] = byte(i*7 + l)
+			}
+			for signer := 0; signer < n; signer++ {
+				key := deriveSeed(seed, signer)
+				ref := hmac.New(sha256.New, key[:])
+				ref.Write(payload)
+				want := ref.Sum(nil)
+				got := s.Sign(signer, payload)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("seed %d len %d signer %d: Sign = %x, crypto/hmac = %x", seed, l, signer, got, want)
+				}
+				if !s.Verify(signer, payload, want) {
+					t.Fatalf("seed %d len %d signer %d: crypto/hmac tag rejected", seed, l, signer)
+				}
+			}
+		}
+	}
+}
+
+// One shared HMAC serves concurrent signers and verifiers (engine shards,
+// rt goroutines); run under -race this checks the pooled scratch.
+func TestHMACConcurrentUse(t *testing.T) {
+	const n, workers, iters = 8, 8, 500
+	s := NewHMAC(n, 3)
+	want := make([]Signature, n)
+	for i := range want {
+		want[i] = s.Sign(i, []byte("round 1"))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				signer := (w + i) % n
+				if !bytes.Equal(s.Sign(signer, []byte("round 1")), want[signer]) {
+					errs <- "Sign differs under concurrency"
+					return
+				}
+				if !s.Verify(signer, []byte("round 1"), want[signer]) ||
+					s.Verify((signer+1)%n, []byte("round 1"), want[signer]) {
+					errs <- "Verify wrong under concurrency"
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+// Verify allocates nothing; Sign allocates only the returned Signature.
+func TestHMACAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items under -race, so pooled scratch reallocates")
+	}
+	s := NewHMAC(4, 1)
+	payload := []byte("optsync/st/round/0000000000000001")
+	sg := s.Sign(1, payload)
+	if a := testing.AllocsPerRun(100, func() {
+		if !s.Verify(1, payload, sg) {
+			t.Fatal("verify failed")
+		}
+	}); a != 0 {
+		t.Fatalf("HMAC.Verify allocates %v per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { s.Sign(1, payload) }); a != 1 {
+		t.Fatalf("HMAC.Sign allocates %v per call, want 1", a)
 	}
 }
