@@ -13,13 +13,13 @@ package campaign
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
 
 	"optsync/internal/clock"
 	"optsync/internal/harness"
+	"optsync/internal/sim"
 )
 
 // Axis sweeps one spec field over a list of values. Values are the
@@ -265,7 +265,7 @@ func (c Campaign) points() []int {
 		}
 		return points
 	}
-	rng := rand.New(rand.NewSource(c.SampleSeed))
+	rng := sim.NewRand(c.SampleSeed)
 	points := rng.Perm(total)[:c.Samples]
 	sort.Ints(points)
 	return points

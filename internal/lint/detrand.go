@@ -9,8 +9,9 @@ import (
 
 // DetRand enforces the determinism contract inside the deterministic
 // core (DeterministicPaths): results must be a pure function of the
-// spec, bit-exact across serial, sharded, and replayed execution. Four
-// ways code silently breaks that are caught here:
+// spec, bit-exact across serial, sharded, and replayed execution. The
+// ways code silently breaks that, or wastes memory doing it right, are
+// caught here:
 //
 //   - wall-clock reads (time.Now and friends) make results depend on
 //     when a run happens;
@@ -18,6 +19,9 @@ import (
 //     depends on what else ran, and shards cannot reproduce it
 //     (per-entity streams seeded from the spec are the repo idiom, see
 //     sim.Engine.RandFor and the PR 7 per-sender-RNG migration);
+//   - rand.NewSource outside internal/sim: sim.NewRand yields the
+//     identical sequence without the eager 607-word state, so every
+//     deterministic stream goes through it;
 //   - goroutines outside the sim.Shards coordinator introduce scheduler
 //     interleaving into what must be a single logical thread;
 //   - Go map iteration order is randomized per run, so a map-range body
@@ -27,7 +31,7 @@ import (
 //     the loop is recognized as the first half of that idiom).
 var DetRand = &Analyzer{
 	Name: "detrand",
-	Doc:  "forbid wall-clock, global rand, stray goroutines, and ordered map iteration in deterministic packages",
+	Doc:  "forbid wall-clock, global rand, eager rand sources, stray goroutines, and ordered map iteration in deterministic packages",
 	Run:  runDetRand,
 }
 
@@ -95,6 +99,12 @@ func checkDetSelector(p *Pass, sel *ast.SelectorExpr) []Finding {
 			}}
 		}
 	case "math/rand", "math/rand/v2":
+		if fn.Name() == "NewSource" && funcPkgPath(fn) == "math/rand" && p.Pkg.Path != simPath {
+			return []Finding{{
+				Pos:     sel.Pos(),
+				Message: "rand.NewSource in deterministic package; use sim.NewRand, which yields the same sequence without eagerly allocating the 4.9 KB source state",
+			}}
+		}
 		if globalRandFuncs[fn.Name()] {
 			return []Finding{{
 				Pos:     sel.Pos(),

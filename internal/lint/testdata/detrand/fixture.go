@@ -25,6 +25,14 @@ func globalRand() int {
 	return rand.Intn(10) // want detrand "global math/rand source (rand.Intn)"
 }
 
+func eagerSource(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed)) // want detrand "rand.NewSource in deterministic package; use sim.NewRand"
+}
+
+func lazySourceOK(seed int64) *rand.Rand {
+	return sim.NewRand(seed)
+}
+
 func localRandOK(rng *rand.Rand) int {
 	return rng.Intn(10) // method on an injected stream, not the global source
 }

@@ -275,17 +275,19 @@ func (nt *Net) ResetStats() {
 const delaySalt = 0x6e65742d646c79 // "net-dly"
 
 // senderRand returns the delay stream of one sender: a deterministic
-// random source derived from (engine seed, sender id) alone. Draw order
-// within a stream is the sender's own transmit order, which is identical
-// in serial and sharded runs — unlike the engine's shared stream, whose
-// draw order depends on global interleaving that shards cannot reproduce.
+// sim.NewRand stream derived from (engine seed, sender id) alone, which
+// allocates no 607-word math/rand state before its 129th draw. Draw
+// order within a stream is the sender's own transmit order, which is
+// identical in serial and sharded runs — unlike the engine's shared
+// stream, whose draw order depends on global interleaving that shards
+// cannot reproduce.
 func (nt *Net) senderRand(from NodeID) *rand.Rand {
 	if nt.delayRng == nil {
 		nt.delayRng = make([]*rand.Rand, nt.n)
 	}
 	r := nt.delayRng[from]
 	if r == nil {
-		r = rand.New(rand.NewSource(sim.StreamSeed(nt.engine.Seed(), from, delaySalt)))
+		r = sim.NewRand(sim.StreamSeed(nt.engine.Seed(), from, delaySalt))
 		nt.delayRng[from] = r
 	}
 	return r

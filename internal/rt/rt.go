@@ -31,6 +31,7 @@ import (
 	"optsync/internal/clock"
 	"optsync/internal/node"
 	"optsync/internal/sig"
+	"optsync/internal/sim"
 )
 
 // Config assembles a real-time cluster.
@@ -98,7 +99,7 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{cfg: cfg}
 	for i := 0; i < cfg.N; i++ {
-		rng := rand.New(rand.NewSource(cfg.Seed ^ int64(0x9E3779B97F4A7C15*uint64(i+1))))
+		rng := sim.NewRand(sim.StreamSeed(cfg.Seed, i, 0))
 		lo, hi := cfg.Rho.MinRate(), cfg.Rho.MaxRate()
 		c.nodes = append(c.nodes, &rtNode{
 			id:     i,

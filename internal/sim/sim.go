@@ -17,6 +17,13 @@
 // sharded engine keeps that discipline per shard — each shard engine is
 // only ever driven by one goroutine at a time, with barriers between
 // windows — so simulations stay deterministic and race-free.
+//
+// Every random stream (the engine's, RandFor's per-node streams, the
+// network's per-sender delay streams) is a NewRand stream: the exact
+// sequence rand.New(rand.NewSource(seed)) yields, held in O(1) state for
+// its first 128 draws and switched to math/rand's 607-word state (one
+// 4.9 KB allocation) only if it draws more. Seeds are reduced modulo
+// 2^31−1 as math/rand does, so two streams can coincide; see StreamSeed.
 package sim
 
 import (
@@ -128,7 +135,7 @@ func New(seed int64) *Engine {
 	return &Engine{
 		seed: seed,
 		// Deliberately *not* crypto-random: reproducibility is the point.
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     NewRand(seed),
 		curLane: LaneGlobal,
 	}
 }
@@ -157,6 +164,8 @@ func (e *Engine) Seed() int64 { return e.seed }
 // depend on how many draws other components made before it asked, so
 // per-node randomness is invariant under registration/boot reordering.
 // Repeated calls with the same id return the same (stateful) stream.
+// The stream is NewRand(StreamSeed(seed, id, 0)): math/rand's sequence
+// for that seed, allocating its full state only after 128 draws.
 func (e *Engine) RandFor(id int) *rand.Rand {
 	if r, ok := e.perID[id]; ok {
 		return r
@@ -164,7 +173,7 @@ func (e *Engine) RandFor(id int) *rand.Rand {
 	if e.perID == nil {
 		e.perID = make(map[int]*rand.Rand)
 	}
-	r := rand.New(rand.NewSource(StreamSeed(e.seed, id, 0)))
+	r := NewRand(StreamSeed(e.seed, id, 0))
 	e.perID[id] = r
 	return r
 }
