@@ -322,13 +322,13 @@ func benchPulseNet(n int, probed bool, payload any) (*sim.Engine, *network.Net, 
 // probed variant attaches a no-op probe to every message event type and
 // must stay at 0 allocs/op too (BENCH_PR4.json records probe-off vs
 // probe-on, CI enforces both).
-func benchmarkPulseRound(b *testing.B, n int, probed bool) {
-	e, nt, _ := benchPulseNet(n, probed, nil)
+func benchmarkPulseRound(b *testing.B, n int, probed bool, payload any) {
+	e, nt, _ := benchPulseNet(n, probed, payload)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for from := 0; from < n; from++ {
-			nt.Broadcast(from, network.Message{Kind: benchPulseKind, Round: i + 1})
+			nt.Broadcast(from, benchPulseMsg(i+1, payload))
 		}
 		e.RunAll(0)
 	}
@@ -342,8 +342,18 @@ func benchmarkPulseRound(b *testing.B, n int, probed bool) {
 // like every other size.
 func BenchmarkPulseRound(b *testing.B) {
 	for _, n := range []int{8, 32, 128, 512, 2048} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchmarkPulseRound(b, n, false) })
-		b.Run(fmt.Sprintf("n=%d/probed", n), func(b *testing.B) { benchmarkPulseRound(b, n, true) })
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchmarkPulseRound(b, n, false, nil) })
+		b.Run(fmt.Sprintf("n=%d/probed", n), func(b *testing.B) { benchmarkPulseRound(b, n, true, nil) })
+	}
+}
+
+// BenchmarkPulseRoundPayload is BenchmarkPulseRound with payload
+// envelopes, the shape of the authenticated protocol's signature-set
+// broadcasts: every delivery goes through the network's arena, where
+// one broadcast's recipients share one reference-counted slot.
+func BenchmarkPulseRoundPayload(b *testing.B) {
+	for _, n := range []int{128, 512} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchmarkPulseRound(b, n, false, benchPayload) })
 	}
 }
 

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math/rand"
 	"testing"
 
 	"optsync/internal/sim"
@@ -18,10 +19,13 @@ func TestArenaReleasesBurstMemory(t *testing.T) {
 	for i := 0; i < n; i++ {
 		nt.Register(i, func(NodeID, Message) {})
 	}
-	// Raw payloads force the arena path, one slot per recipient, so one
-	// all-pairs round holds n^2 slots at its peak.
+	// Raw payloads force the arena path. Each Send takes its own slot (a
+	// broadcast's recipients would share one), so one all-pairs round of
+	// sends holds n^2 slots at its peak.
 	for from := 0; from < n; from++ {
-		nt.Broadcast(from, Raw("burst"))
+		for to := 0; to < n; to++ {
+			nt.Send(from, to, Raw("burst"))
+		}
 	}
 	peak := nt.inUse
 	if peak <= arenaTrimCap {
@@ -51,5 +55,70 @@ func TestArenaReleasesBurstMemory(t *testing.T) {
 	e.RunAll(0)
 	if delivered != 1 {
 		t.Fatalf("post-release broadcast delivered %d to node 2, want 1", delivered)
+	}
+}
+
+// TestBroadcastSharesOnePayloadSlot asserts that one payload broadcast
+// stores its envelope once: between the broadcast and the drain it holds
+// exactly one arena slot whatever the number of recipients, every
+// recipient receives the same Payload, and the drain frees the slot —
+// also when a recipient has no handler (the DroppedOffline path) or the
+// policy drops some recipients. A broadcast the policy drops entirely
+// takes no slot at all.
+func TestBroadcastSharesOnePayloadSlot(t *testing.T) {
+	const n = 8
+	dropOdd := PerLink{Fn: func(_, to NodeID, _ sim.Time, _ *rand.Rand) float64 {
+		if to%2 == 1 {
+			return -1
+		}
+		return 0.005
+	}}
+	for _, c := range []struct {
+		name      string
+		policy    Policy
+		offline   NodeID // recipient left without a handler, or -1
+		delivered int
+		slots     int
+	}{
+		{"offline recipient", Uniform{Min: 0.002, Max: 0.01}, 3, n - 1, 1},
+		{"some dropped", dropOdd, -1, n / 2, 1},
+		{"all dropped", Drop{}, -1, 0, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := sim.New(1)
+			nt := New(e, n, c.policy, nil)
+			payload := &struct{ sigs []int }{sigs: []int{1, 2, 3}}
+			delivered := 0
+			for i := 0; i < n; i++ {
+				if i == c.offline {
+					continue
+				}
+				nt.Register(i, func(_ NodeID, msg Message) {
+					if msg.Payload != any(payload) {
+						t.Errorf("recipient %d got payload %v, want the broadcast's", i, msg.Payload)
+					}
+					delivered++
+				})
+			}
+			nt.Broadcast(0, Message{Kind: KindRaw, Round: 7, Payload: payload})
+			if nt.inUse != c.slots || len(nt.arena) != c.slots {
+				t.Fatalf("broadcast holds %d slots (arena %d), want %d", nt.inUse, len(nt.arena), c.slots)
+			}
+			e.RunAll(0)
+			if delivered != c.delivered {
+				t.Fatalf("delivered %d, want %d", delivered, c.delivered)
+			}
+			if c.offline >= 0 && nt.Stats().DroppedOffline != 1 {
+				t.Fatalf("DroppedOffline = %d, want 1", nt.Stats().DroppedOffline)
+			}
+			if nt.inUse != 0 || len(nt.freeSlots) != c.slots {
+				t.Fatalf("after drain: %d slots in use, %d free, want 0 and %d", nt.inUse, len(nt.freeSlots), c.slots)
+			}
+			for i, s := range nt.arena {
+				if s != (arenaSlot{}) {
+					t.Fatalf("slot %d not released after drain: %+v", i, s)
+				}
+			}
+		})
 	}
 }

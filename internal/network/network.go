@@ -14,8 +14,10 @@
 // envelopes are typed values (Message), and every accepted transmission —
 // from Send or from one Broadcast recipient — becomes exactly one
 // value-inline sim message event instead of a per-send closure.
-// Scalar-only envelopes ride the event itself; payload envelopes take one
-// recycled arena slot holding the message for that one recipient.
+// Scalar-only envelopes ride the event itself; a payload envelope takes
+// one recycled, reference-counted arena slot per send or broadcast, which
+// every local recipient's event names — a broadcast to n nodes stores its
+// envelope once, not n times.
 //
 // Observation goes through the engine's probe bus: every send, delivery,
 // and drop emits a typed probe.Event behind a Bus.Active guard, so an
@@ -109,9 +111,10 @@ type Net struct {
 	target int // sim dispatch target id
 
 	// arena holds the payload envelopes of scheduled non-inline
-	// deliveries, one slot per recipient, indexed by sim.Message.Index
-	// and recycled through freeSlots.
-	arena     []Message
+	// deliveries, indexed by sim.Message.Index: one reference-counted
+	// slot per Send or Broadcast, shared by all of its local recipients
+	// and recycled through freeSlots when the last of them is delivered.
+	arena     []arenaSlot
 	freeSlots []uint32
 	inUse     int      // arena slots currently holding scheduled deliveries
 	peakInUse int      // max inUse since the arena was last fully idle
@@ -128,10 +131,22 @@ type Net struct {
 	outbox [][]outMsg
 }
 
+// arenaSlot is one payload envelope and the number of scheduled
+// deliveries that still name it.
+type arenaSlot struct {
+	msg  Message
+	refs uint32
+}
+
+// noSlot is the arena index of a send or broadcast that has not yet
+// scheduled a local payload delivery (see schedule).
+const noSlot = ^uint32(0)
+
 // outMsg is one cross-shard transmission parked in a mailbox until the
 // window barrier: the sender-assigned event key plus the sim envelope.
 // Non-inline messages carry the full payload; the destination shard
-// re-interns it into its own arena at exchange time.
+// re-interns it into its own arena at exchange time, one slot per
+// delivery.
 type outMsg struct {
 	key     sim.Key
 	sm      sim.Message
@@ -350,8 +365,8 @@ func (nt *Net) msgEvent(t probe.Type, from, to NodeID, at sim.Time, deliverAt fl
 	}
 }
 
-// alloc takes an arena slot for one payload delivery, reusing a recycled
-// slot when one is free.
+// alloc takes an arena slot holding msg for one payload delivery (a
+// count of 1), reusing a recycled slot when one is free.
 func (nt *Net) alloc(msg Message) uint32 {
 	nt.inUse++
 	if nt.inUse > nt.peakInUse {
@@ -360,20 +375,27 @@ func (nt *Net) alloc(msg Message) uint32 {
 	if k := len(nt.freeSlots); k > 0 {
 		idx := nt.freeSlots[k-1]
 		nt.freeSlots = nt.freeSlots[:k-1]
-		nt.arena[idx] = msg
+		nt.arena[idx] = arenaSlot{msg: msg, refs: 1}
 		return idx
 	}
-	nt.arena = append(nt.arena, msg)
+	nt.arena = append(nt.arena, arenaSlot{msg: msg, refs: 1})
 	return uint32(len(nt.arena) - 1)
 }
 
-// take copies a payload delivery out of its arena slot and recycles the
-// slot, and — when the arena goes fully idle far below its high-water
-// mark — drops the arena entirely so one oversized burst does not pin
-// memory for the rest of the run.
+// take copies a payload delivery out of its arena slot and drops one
+// reference. The last reference recycles the slot, and — when the arena
+// goes fully idle far below its high-water mark — drops the arena
+// entirely so one oversized burst does not pin memory for the rest of
+// the run.
+//
+//syncsim:hotpath
 func (nt *Net) take(idx uint32) Message {
-	msg := nt.arena[idx]
-	nt.arena[idx] = Message{} // release the payload reference
+	s := &nt.arena[idx]
+	msg := s.msg
+	if s.refs--; s.refs > 0 {
+		return msg
+	}
+	*s = arenaSlot{} // release the payload reference
 	nt.inUse--
 	if nt.inUse == 0 {
 		trim := len(nt.arena) > arenaTrimCap && nt.peakInUse*4 < len(nt.arena)
@@ -432,7 +454,8 @@ func (nt *Net) Send(from, to NodeID, msg Message) {
 	if deliverAt, ok := nt.transmit(from, to, nt.engine.Now(), msg); ok {
 		sm := envelope(from, msg)
 		sm.To = int32(to)
-		nt.schedule(sm, deliverAt, &msg)
+		slot := noSlot
+		nt.schedule(sm, deliverAt, &msg, &slot)
 	}
 }
 
@@ -442,7 +465,9 @@ func (nt *Net) Send(from, to NodeID, msg Message) {
 // the conservative reading). Every accepted recipient gets its own
 // delivery event, scheduled in recipient order, so the sender lane's
 // sequence numbers order same-instant deliveries by (broadcast call,
-// recipient id) — identically in serial and sharded runs.
+// recipient id) — identically in serial and sharded runs. A payload
+// envelope is stored once, in one arena slot that every local recipient's
+// event names (see schedule).
 //
 // The loop is transmit per recipient with the probe guards, the traffic
 // counters, and the envelope hoisted out of it; event emission and the
@@ -455,6 +480,7 @@ func (nt *Net) Broadcast(from NodeID, msg Message) {
 	policyActive := nt.probes.Active(probe.TypeMessageDropPolicy)
 	sentActive := nt.probes.Active(probe.TypeMessageSent)
 	sm := envelope(from, msg)
+	slot := noSlot
 	sent, droppedLink, droppedPolicy := uint64(0), uint64(0), uint64(0)
 	nbrs, count := nt.neighborList(from, linkActive)
 	for i := 0; i < count; i++ {
@@ -482,7 +508,7 @@ func (nt *Net) Broadcast(from NodeID, msg Message) {
 			nt.probes.Emit(nt.msgEvent(probe.TypeMessageSent, from, to, now, deliverAt, msg))
 		}
 		sm.To = int32(to)
-		nt.schedule(sm, deliverAt, &msg)
+		nt.schedule(sm, deliverAt, &msg, &slot)
 	}
 	if nbrs != nil {
 		droppedLink += uint64(nt.n - len(nbrs))
@@ -497,7 +523,7 @@ func (nt *Net) Broadcast(from NodeID, msg Message) {
 // envelope builds the sim event for a delivery of msg from the sender
 // (the caller sets To): the whole message inline when it fits the scalar
 // fields, otherwise just the endpoints — schedule then puts the payload
-// in an arena slot that Index names.
+// in the arena slot that Index names.
 func envelope(from NodeID, msg Message) sim.Message {
 	sm := sim.Message{From: int32(from)}
 	if inlinable(msg) {
@@ -510,20 +536,28 @@ func envelope(from NodeID, msg Message) sim.Message {
 // schedule hands one accepted transmission (envelope sm, addressed to
 // sm.To) to its recipient's engine: parked in the owning shard's mailbox
 // when the recipient lives on another shard, otherwise one message event
-// here — inline for scalar-only envelopes, one arena slot holding msg
-// for payload envelopes. Either way the recipient consumes exactly one
-// sequence number of the sender's lane, which is what makes the event
-// order independent of the shard count. msg is passed by pointer only to
-// keep this per-recipient call's arguments in registers.
+// here — inline for scalar-only envelopes, or naming the arena slot that
+// holds msg for payload envelopes. *slot is that slot, shared by every
+// local recipient of one send or broadcast: the first takes it (noSlot
+// becomes its index) and each later one adds a reference. Either way the
+// recipient consumes exactly one sequence number of the sender's lane,
+// which is what makes the event order independent of the shard count.
+// msg is passed by pointer only to keep this per-recipient call's
+// arguments in registers.
 //
 //syncsim:hotpath
-func (nt *Net) schedule(sm sim.Message, deliverAt sim.Time, msg *Message) {
+func (nt *Net) schedule(sm sim.Message, deliverAt sim.Time, msg *Message, slot *uint32) {
 	if nt.owner != nil && nt.owner[sm.To] != nt.shard {
 		nt.sendRemote(sm, deliverAt, msg)
 		return
 	}
 	if sm.Flags&msgInline == 0 {
-		sm.Index = nt.alloc(*msg)
+		if *slot == noSlot {
+			*slot = nt.alloc(*msg)
+		} else {
+			nt.arena[*slot].refs++
+		}
+		sm.Index = *slot
 	}
 	nt.engine.MustAtMsg(deliverAt, nt.target, sm)
 }

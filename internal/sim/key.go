@@ -53,12 +53,37 @@ func (k Key) Less(o Key) bool {
 	return k.Seq < o.Seq
 }
 
-// Compare returns -1, 0, or +1 by the total event order.
+// Compare returns -1, 0, or +1 by the total event order, in one
+// lexicographic pass whose sign always agrees with Less.
 func (k Key) Compare(o Key) int {
-	if k.Less(o) {
+	if k.At != o.At {
+		return cmpTime(k.At, o.At)
+	}
+	if k.Cause != o.Cause {
+		return cmpTime(k.Cause, o.Cause)
+	}
+	if k.Lane != o.Lane {
+		if k.Lane < o.Lane {
+			return -1
+		}
+		return 1
+	}
+	if k.Seq != o.Seq {
+		if k.Seq < o.Seq {
+			return -1
+		}
+		return 1
+	}
+	return 0
+}
+
+// cmpTime orders two unequal instants as Less does: an unordered pair
+// (a NaN) compares equal, since neither is less than the other.
+func cmpTime(a, b Time) int {
+	if a < b {
 		return -1
 	}
-	if o.Less(k) {
+	if a > b {
 		return 1
 	}
 	return 0
